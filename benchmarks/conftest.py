@@ -1,14 +1,17 @@
 """Shared infrastructure of the benchmark harness.
 
 Every bench regenerates one table or figure of the paper's evaluation
-(see DESIGN.md's experiment index). Rendered tables are printed (visible
-with ``pytest benchmarks/ --benchmark-only -s``) *and* written to
-``benchmarks/results/<experiment>.txt`` so a full run leaves the
-paper-vs-measured evidence on disk.
+(see DESIGN.md's experiment index). Rendered tables are always printed
+(visible with ``pytest benchmarks/ --benchmark-only -s``); with
+``REPRO_BENCH_RESULTS=1`` in the environment they are also written to
+``benchmarks/results/<experiment>.txt``, so a recording run leaves the
+paper-vs-measured evidence on disk while an ordinary test run leaves the
+checked-in tables untouched.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -27,9 +30,13 @@ def environment() -> TestEnvironment:
 
 @pytest.fixture(scope="session")
 def record_table():
-    """Callable writing a rendered result table to disk and stdout."""
+    """Callable printing a rendered result table, and writing it to
+    ``benchmarks/results/`` when ``REPRO_BENCH_RESULTS=1``."""
 
     def _record(experiment_id: str, text: str) -> None:
+        if os.environ.get("REPRO_BENCH_RESULTS") != "1":
+            print(f"\n{text}\n[not written: set REPRO_BENCH_RESULTS=1 to record]")
+            return
         RESULTS_DIR.mkdir(exist_ok=True)
         path = RESULTS_DIR / f"{experiment_id}.txt"
         path.write_text(text + "\n", encoding="utf-8")

@@ -57,13 +57,12 @@ from repro.compile.rules import compile_one_r, compile_prism
 from repro.compile.screen import NotCompilable
 from repro.compile.tree import compile_tree
 from repro.core.findings import AuditReport, Finding
-from repro.io.cells import convert_row
 from repro.io.sqlite_backend import (
     SqliteTableSink,
     _column_names,
-    _from_sql,
     _user_tables,
     parse_sqlite_url,
+    sqlite_converters,
 )
 from repro.mining.confidence import error_confidence_batch
 from repro.mining.naive_bayes import NaiveBayesClassifier
@@ -282,13 +281,7 @@ def audit_connection(
                 f"connection's limit of {cap}"
             )
     quoted = plan.dialect.quote(table)
-    names = list(auditor.schema.names)
-    converters = [
-        lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-            _from_sql(raw, kind, integer)
-        )
-        for a in auditor.schema.attributes
-    ]
+    converters = sqlite_converters(auditor.schema)
     try:
         n_rows = connection.execute(f"SELECT COUNT(*) FROM {quoted}").fetchone()[0]
         record_confidence = np.zeros(n_rows, dtype=float)
@@ -298,7 +291,7 @@ def audit_connection(
                 statement.sql(quoted), statement.params
             ).fetchall()
             confidences, attr_findings, candidate_rows = _recheck_candidates(
-                auditor, statement.attribute, rows, converters, names
+                auditor, statement.attribute, rows, converters
             )
             if candidate_rows.size:
                 record_confidence[candidate_rows] = np.maximum(
@@ -318,7 +311,7 @@ def audit_connection(
 
 
 def _recheck_candidates(
-    auditor, class_attr: str, rows, converters, names
+    auditor, class_attr: str, rows, converters
 ) -> tuple[np.ndarray, list[Finding], np.ndarray]:
     """Re-audit the candidate rows through the in-memory code path.
 
@@ -334,11 +327,8 @@ def _recheck_candidates(
     candidate_rows = np.asarray([row[0] for row in rows], dtype=np.int64)
     if candidate_rows.size == 0:
         return np.zeros(0, dtype=float), [], candidate_rows
-    converted = [
-        convert_row(f"row {row[0] + 1}", row[1:], converters, names)
-        for row in rows
-    ]
-    index_of = {name: position for position, name in enumerate(names)}
+    converted = [converters.convert_row(f"row {row[0] + 1}", row[1:]) for row in rows]
+    index_of = {name: position for position, name in enumerate(converters.names)}
     columns = {
         name: dataset.encoders[name].encode_column(
             [cells[index_of[name]] for cells in converted]

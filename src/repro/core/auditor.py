@@ -83,12 +83,13 @@ class ColumnCache:
     columnar parity suite).
     """
 
-    __slots__ = ("table", "_raw", "_encoded")
+    __slots__ = ("table", "_raw", "_encoded", "_masks")
 
     def __init__(self, table):
         self.table = table
         self._raw: dict[str, list] = {}
         self._encoded: dict[str, np.ndarray] = {}
+        self._masks: dict[str, np.ndarray] = {}
 
     @classmethod
     def from_columns(cls, batch) -> "ColumnCache":
@@ -122,30 +123,52 @@ class ColumnCache:
             self._raw[name] = self.table.column(name)
         return self._raw[name]
 
+    def mask(self, name: str) -> np.ndarray:
+        """The column's null mask (the batch's own when it serves one)."""
+        if name not in self._masks:
+            batch_mask = self._batch_null_mask(name)
+            self._masks[name] = (
+                batch_mask if batch_mask is not None else null_mask(self.raw(name))
+            )
+        return self._masks[name]
+
     def encoded(self, name: str, encoder) -> np.ndarray:
         """The column encoded by *encoder* (cached by attribute name —
         encoders are deterministic per schema attribute)."""
         if name not in self._encoded:
-            if not encoder.categorical:
+            if encoder.categorical:
+                self._encoded[name] = encoder.encode_column(self.raw(name))
+            else:
                 view = self._numeric_view(name)
-                if view is not None:
-                    # ready float64 view off the batch's own buffers —
-                    # identical to encode_column on the raw cells
-                    self._encoded[name] = view
-                    return view
-            self._encoded[name] = encoder.encode_column(self.raw(name))
+                # a ready float64 view off the batch's own buffers, else
+                # encode_column's conversion over the shared null mask
+                self._encoded[name] = (
+                    view
+                    if view is not None
+                    else encode_ordered_column(
+                        encoder.attribute, self.raw(name), self.mask(name)
+                    )
+                )
         return self._encoded[name]
 
     def observed_codes(self, name: str, class_encoder) -> np.ndarray:
         """The column encoded into class-label codes (the audit side's
-        observed classes)."""
-        if self.schema.attribute(name).kind is not AttributeKind.NOMINAL:
-            view = self._numeric_view(name)
-            if view is not None:
-                mask = self._batch_null_mask(name)
-                if mask is not None:
-                    return class_encoder.encode_from_numeric(view, mask)
-        return class_encoder.encode_column(self.raw(name))
+        observed classes), derived from the column's cached base
+        encoding — computed once per table for every classifier that
+        reads the column as an input — instead of a second pass over the
+        raw cells: nominal codes by the integer remap, ordered codes by
+        binning the numeric view."""
+        attribute = self.schema.attribute(name)
+        base_encoder = BaseEncoder(attribute)
+        if base_encoder.categorical:
+            return class_encoder.encode_from_base(
+                self.encoded(name, base_encoder), base_encoder
+            )
+        if attribute.kind is AttributeKind.NOMINAL:  # open text: no base codes
+            return class_encoder.encode_column(self.raw(name))
+        return class_encoder.encode_from_numeric(
+            self.encoded(name, base_encoder), self.mask(name)
+        )
 
     def observed_value(self, name: str, row: int):
         """One raw cell, for a finding's ``observed_value``. A cache
@@ -178,13 +201,12 @@ class FitColumnCache(ColumnCache):
     builds one per (table, process).
     """
 
-    __slots__ = ("n_bins", "_encoders", "_masks", "_class_encoders", "_class_codes")
+    __slots__ = ("n_bins", "_encoders", "_class_encoders", "_class_codes")
 
     def __init__(self, table, *, n_bins: int = 10):
         super().__init__(table)
         self.n_bins = n_bins
         self._encoders: dict[str, BaseEncoder] = {}
-        self._masks: dict[str, np.ndarray] = {}
         self._class_encoders: dict[str, ClassEncoder] = {}
         self._class_codes: dict[str, np.ndarray] = {}
 
@@ -193,35 +215,9 @@ class FitColumnCache(ColumnCache):
             self._encoders[name] = BaseEncoder(self.table.schema.attribute(name))
         return self._encoders[name]
 
-    def mask(self, name: str) -> np.ndarray:
-        """The column's null mask (shared by base and class encodings)."""
-        if name not in self._masks:
-            batch_mask = self._batch_null_mask(name)
-            self._masks[name] = (
-                batch_mask if batch_mask is not None else null_mask(self.raw(name))
-            )
-        return self._masks[name]
-
     def base_column(self, name: str) -> np.ndarray:
         """The base-encoded column (category codes / numeric view)."""
-        if name not in self._encoded:
-            encoder = self.base_encoder(name)
-            if encoder.categorical:
-                self._encoded[name] = encoder.encode_column(self.raw(name))
-            else:
-                view = self._numeric_view(name)
-                if view is not None:
-                    # the batch's ready view — identical to the encode
-                    # below (no raw cells materialized)
-                    self._encoded[name] = view
-                else:
-                    # route through the shared mask instead of
-                    # encode_column's internal one, so the mask is
-                    # computed once per column
-                    self._encoded[name] = encode_ordered_column(
-                        encoder.attribute, self.raw(name), self.mask(name)
-                    )
-        return self._encoded[name]
+        return self.encoded(name, self.base_encoder(name))
 
     def class_encoder(self, name: str) -> ClassEncoder:
         if name not in self._class_encoders:
@@ -247,14 +243,9 @@ class FitColumnCache(ColumnCache):
             encoder = self.class_encoder(name)
             base = self.base_column(name)
             if self.table.schema.attribute(name).kind is AttributeKind.NOMINAL:
-                # base and class encoders enumerate the same domain values,
-                # so in-domain codes coincide; only null/unknown remap
-                codes = base.copy()
-                codes[base == self.base_encoder(name).unknown_code] = (
-                    encoder.unknown_code
+                self._class_codes[name] = encoder.encode_from_base(
+                    base, self.base_encoder(name)
                 )
-                codes[base < 0] = encoder.null_code
-                self._class_codes[name] = codes
             else:
                 self._class_codes[name] = encoder.encode_from_numeric(
                     base, self.mask(name)

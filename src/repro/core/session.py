@@ -313,8 +313,10 @@ class AuditSession:
             return
         offset = 0
         for chunk in chunks:
-            yield self.auditor.audit(chunk, n_jobs=1).with_row_offset(offset)
+            report = self.auditor.audit(chunk, n_jobs=1).with_row_offset(offset)
             offset += chunk.n_rows
+            del chunk  # released before the next chunk is read
+            yield report
 
     def _resolve_source(self, source) -> tuple[TableSource, bool]:
         """Accept an open :class:`TableSource` or a registry location.

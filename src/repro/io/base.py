@@ -60,6 +60,11 @@ def open_text(
     return target, False
 
 
+def _validated(batch: ColumnBatch) -> ColumnBatch:
+    batch.validate()
+    return batch
+
+
 class TableSource(ABC):
     """A single-pass, schema-driven reader of one stored table.
 
@@ -154,10 +159,10 @@ class TableSource(ABC):
         (pinned by the columnar parity suite)."""
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        for batch in self._iter_column_batches(chunk_size):
-            if validate:
-                batch.validate()
-            yield batch
+        batches = self._iter_column_batches(chunk_size)
+        # no loop variable: a batch is released as soon as its consumer
+        # drops it, before the next one is read
+        yield from map(_validated, batches) if validate else batches
 
     def read_columns(self, *, validate: bool = False) -> ColumnBatch:
         """Materialize the whole source as one

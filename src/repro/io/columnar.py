@@ -37,36 +37,44 @@ Error parity
 The row path converts cell values row by row, so the first error it
 reports is the first bad cell in row-major order. Column-at-a-time
 conversion would naturally surface a *column*-major first error instead;
-:func:`columns_from_rows` therefore converts the happy path column-wise
-(the performance win — no per-row converted lists) and, only when a batch
-contains any bad cell, replays the buffered raw rows through
-:func:`~repro.io.cells.convert_row` so the raised error is byte-identical
-to the row path's. Backends with structural per-row checks (CSV field
-counts, JSONL parse/key checks) call :func:`raise_row_errors` on the
-rows buffered *before* the structural failure for the same reason.
+the native lanes therefore convert the happy path column-wise with the
+backend's :class:`~repro.io.cells.ColumnConverters` (one converter per
+column over the transposed batch — the performance win) and, only when a
+batch contains any bad cell, replay it row-wise
+(:meth:`ColumnConverters.raise_row_errors
+<repro.io.cells.ColumnConverters.raise_row_errors>`) so the raised error
+is byte-identical to the row path's. Backends with structural per-row
+checks (CSV field counts, JSONL parse/key checks) replay the rows
+buffered *before* the structural failure for the same reason.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from itertools import repeat
+from operator import is_
+from typing import Callable, Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.io.cells import convert_row
+from repro.io.cells import ColumnConverters
 from repro.schema.schema import Schema
 from repro.schema.table import Table
-from repro.schema.types import Value
 
 __all__ = [
     "ColumnBatch",
     "ColumnarSource",
     "resolve_io_path",
-    "columns_from_rows",
-    "raise_row_errors",
     "IO_PATHS",
+    "TRANSPOSE_ROWS",
 ]
 
 IO_PATHS = ("auto", "columns", "rows")
+
+#: Records a text lane buffers before moving them into its raw columns.
+#: Kept short so the per-record containers die young: records held for a
+#: whole batch would be promoted into the cyclic garbage collector's
+#: oldest generation and trigger full collections of the process heap.
+TRANSPOSE_ROWS = 512
 
 
 def resolve_io_path(source, io_path: str) -> str:
@@ -88,7 +96,9 @@ class ColumnBatch:
     ``column``) and adds two optional accelerator hooks the caches probe
     with ``getattr``:
 
-    * :meth:`null_mask` — the column's boolean null mask, cached;
+    * :meth:`null_mask` — the column's boolean null mask, cached (the
+      native CSV/JSONL/SQLite lanes hand in the masks their converters
+      found, :meth:`from_raw`);
     * :meth:`numeric_view` — a ready float64 numeric view of an ordered
       column, or ``None``. The base class always answers ``None``; the
       Arrow-backed subclass (:class:`repro.io.parquet_backend.ArrowColumnBatch`)
@@ -107,6 +117,28 @@ class ColumnBatch:
             n_rows = len(next(iter(columns.values()))) if columns else 0
         self.n_rows = n_rows
         self._masks: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def from_raw(
+        cls,
+        schema: Schema,
+        converters: ColumnConverters,
+        raw_columns: list,
+        row_label: Callable[[int], str],
+    ) -> "ColumnBatch":
+        """Convert schema-ordered raw columns through a backend's
+        converters — the CSV, JSONL and SQLite column lanes. Errors replay
+        row-wise (see the module docstring); the null masks the
+        converters found in the raw cells seed :meth:`null_mask`.
+        Empties *raw_columns*, so the raw cells are released as soon as
+        the batch exists."""
+        n_rows = len(raw_columns[0]) if raw_columns else 0
+        values, masks = converters.convert_columns(raw_columns, row_label)
+        raw_columns.clear()
+        batch = cls(schema, dict(zip(schema.names, values)), n_rows)
+        for name, mask in zip(schema.names, masks):
+            batch._masks[name] = np.zeros(n_rows, dtype=bool) if mask is None else mask
+        return batch
 
     # -- pickling (slots + the np-array cache) ------------------------------
 
@@ -132,7 +164,7 @@ class ColumnBatch:
         if name not in self._masks:
             values = self.columns[name]
             self._masks[name] = np.fromiter(
-                (v is None for v in values), dtype=bool, count=len(values)
+                map(is_, values, repeat(None)), dtype=bool, count=len(values)
             )
         return self._masks[name]
 
@@ -204,49 +236,3 @@ class ColumnarSource(Protocol):
     ) -> Iterator[ColumnBatch]: ...
 
     def read_columns(self, *, validate: bool = ...) -> ColumnBatch: ...
-
-
-def raise_row_errors(
-    raw_rows: Sequence,
-    row_labels: Sequence[str],
-    converters: Sequence,
-    names: Sequence[str],
-    positions: Optional[Sequence] = None,
-) -> None:
-    """Replay buffered raw rows row-wise, raising the row path's error
-    for the first offending cell (if any); returns when all rows convert.
-
-    *positions* maps schema order to each raw row's layout: ``None`` for
-    already schema-ordered rows (SQLite tuples), column indices for CSV
-    field lists, attribute names for JSONL dicts.
-    """
-    for label, row in zip(row_labels, raw_rows):
-        cells = row if positions is None else [row[p] for p in positions]
-        convert_row(label, cells, converters, names)
-
-
-def columns_from_rows(
-    raw_rows: Sequence,
-    row_labels: Sequence[str],
-    names: Sequence[str],
-    converters: Sequence,
-    positions: Optional[Sequence] = None,
-) -> list[list[Value]]:
-    """Convert buffered raw rows into converted columns, one comprehension
-    per attribute (no per-row list construction — the columnar ingest
-    win). On any conversion failure the batch is replayed row-wise so the
-    raised error is byte-identical to the row path's (see module
-    docstring)."""
-    try:
-        if positions is None:
-            return [
-                [convert(row[i]) for row in raw_rows]
-                for i, convert in enumerate(converters)
-            ]
-        return [
-            [convert(row[p]) for row in raw_rows]
-            for p, convert in zip(positions, converters)
-        ]
-    except ValueError:
-        raise_row_errors(raw_rows, row_labels, converters, names, positions)
-        raise  # pragma: no cover - column conversion failed, rows did not

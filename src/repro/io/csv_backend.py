@@ -17,13 +17,8 @@ from pathlib import Path
 from typing import Iterator, TextIO, Union
 
 from repro.io.base import TableSink, TableSource, open_text
-from repro.io.cells import (
-    DEFAULT_NULL_MARKER,
-    convert_row,
-    parse_cell,
-    render_cell,
-)
-from repro.io.columnar import ColumnBatch, columns_from_rows, raise_row_errors
+from repro.io.cells import DEFAULT_NULL_MARKER, render_cell, text_converters
+from repro.io.columnar import TRANSPOSE_ROWS, ColumnBatch
 from repro.schema.schema import Schema
 from repro.schema.types import Value
 
@@ -33,10 +28,15 @@ __all__ = ["CsvTableSource", "CsvTableSink"]
 class CsvTableSource(TableSource):
     """Schema-driven CSV reader (path or text stream).
 
-    Natively columnar: :meth:`column_batches` buffers the reader's own
-    field lists and converts column-at-a-time — no per-row reorder list,
+    Natively columnar: :meth:`column_batches` moves the reader's own
+    field lists into raw columns every
+    :data:`~repro.io.columnar.TRANSPOSE_ROWS` records and converts each
+    batch with one converter per column
+    (:func:`~repro.io.cells.text_converters`) — no per-row reorder list,
     no per-row converted list — with errors replayed row-wise for byte
-    parity with the row path (:mod:`repro.io.columnar`).
+    parity with the row path (:mod:`repro.io.columnar`). Errors name the
+    line a record starts on, counted in physical lines (quoted fields
+    may span several).
     """
 
     supports_columns = True
@@ -69,64 +69,71 @@ class CsvTableSource(TableSource):
             raise
 
     def _iter_rows(self) -> Iterator[list[Value]]:
-        names = self.schema.names
+        converters = text_converters(self.schema, self.null_marker)
         order = self._order
-        marker = self.null_marker
-        converters = [
-            lambda text, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                parse_cell(text, kind, marker, integer)
-            )
-            for a in self.schema.attributes
-        ]
-        for line_no, fields in enumerate(self._reader, start=2):
+        reader = self._reader
+        line_end = reader.line_num
+        for fields in reader:
+            # a record starts on the line after the previous one ended
+            # (quoted fields may span lines)
+            line_no, line_end = line_end + 1, reader.line_num
             if len(fields) != self._n_fields:
                 raise ValueError(
                     f"line {line_no}: expected {self._n_fields} fields, "
                     f"got {len(fields)}"
                 )
-            raw = [fields[src] for src in order]
-            yield convert_row(f"line {line_no}", raw, converters, names)
-
-    def _converters(self) -> list:
-        marker = self.null_marker
-        return [
-            lambda text, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                parse_cell(text, kind, marker, integer)
+            yield converters.convert_row(
+                f"line {line_no}", [fields[src] for src in order]
             )
-            for a in self.schema.attributes
-        ]
 
     def _iter_column_batches(self, batch_size: int):
-        names = self.schema.names
-        converters = self._converters()
-        positions = self._order
+        converters = text_converters(self.schema, self.null_marker)
+        order = self._order
         n_fields = self._n_fields
-        buffered: list[list[str]] = []
-        labels: list[str] = []
+        reader = self._reader
+        pending: list[list[str]] = []  # records not yet moved into columns
+        columns: list[list[str]] = [[] for _ in order]  # schema-ordered raw cells
+        line_ends: list[int] = []  # reader.line_num after each batch record
+        first_line = reader.line_num + 1  # start line of the batch's first record
+
+        def label(i: int) -> str:  # built only on the error path
+            return f"line {line_ends[i - 1] + 1 if i else first_line}"
+
+        def transpose() -> list:
+            if pending:
+                fields_by_column = list(zip(*pending))
+                pending.clear()
+                for column, src in zip(columns, order):
+                    column.extend(fields_by_column[src])
+            return columns
 
         def flush() -> ColumnBatch:
-            cols = columns_from_rows(buffered, labels, names, converters, positions)
-            batch = ColumnBatch(
-                self.schema, dict(zip(names, cols)), len(buffered)
-            )
-            buffered.clear()
-            labels.clear()
+            nonlocal columns, first_line
+            raw, columns = transpose(), [[] for _ in order]
+            batch = ColumnBatch.from_raw(self.schema, converters, raw, label)
+            first_line = line_ends[-1] + 1
+            line_ends.clear()
             return batch
 
-        for line_no, fields in enumerate(self._reader, start=2):
+        push, push_end = pending.append, line_ends.append
+        for fields in reader:
             if len(fields) != n_fields:
                 # surface any cell error in an earlier buffered row first
                 # (the row path converts strictly in row order)
-                raise_row_errors(buffered, labels, converters, names, positions)
+                line_no = line_ends[-1] + 1 if line_ends else first_line
+                if line_ends:
+                    converters.raise_row_errors(transpose(), label)
                 raise ValueError(
                     f"line {line_no}: expected {n_fields} fields, "
                     f"got {len(fields)}"
                 )
-            buffered.append(fields)
-            labels.append(f"line {line_no}")
-            if len(buffered) >= batch_size:
+            push(fields)
+            push_end(reader.line_num)
+            if len(pending) >= TRANSPOSE_ROWS:
+                transpose()
+            if len(line_ends) >= batch_size:
                 yield flush()
-        if buffered:
+        if line_ends:
             yield flush()
 
     def close(self) -> None:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import datetime
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, TextIO, Union
 
 from repro.io.base import TableSink, TableSource, open_text
-from repro.io.cells import cell_context, coerce_number
-from repro.io.columnar import ColumnBatch, columns_from_rows, raise_row_errors
+from repro.io.cells import coerce_number, typed_converters
+from repro.io.columnar import TRANSPOSE_ROWS, ColumnBatch
 from repro.schema.schema import Schema
 from repro.schema.types import AttributeKind, Value
 
@@ -56,7 +57,8 @@ class JsonlTableSource(TableSource):
     """Schema-driven JSON-lines reader (path or text stream).
 
     Natively columnar: :meth:`column_batches` converts each batch of
-    parsed objects column-at-a-time (dict lookups per attribute), with
+    parsed objects with one converter per column
+    (:func:`~repro.io.cells.typed_converters`), with
     structural checks (JSON validity, key sets) still applied per line in
     row order and cell errors replayed row-wise — byte-identical errors
     to the row path even though blank lines make line numbers
@@ -72,6 +74,9 @@ class JsonlTableSource(TableSource):
     def _structural_check(self, line_no: int, line: str) -> dict:
         """Parse and key-check one line (the row path's per-line checks)."""
         try:
+            # NaN/Infinity constants parse to floats here on purpose: the
+            # cell coercion rejects non-finite values with the line *and*
+            # attribute named, which a parse_constant hook could not know
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {line_no}: not valid JSON: {exc}") from None
@@ -91,22 +96,26 @@ class JsonlTableSource(TableSource):
         return obj
 
     def _iter_column_batches(self, batch_size: int):
-        names = self.schema.names
-        converters = [
-            lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                _coerce(raw, kind, integer)
-            )
-            for a in self.schema.attributes
-        ]
-        positions = list(names)  # dict lookup by attribute name
-        buffered: list[dict] = []
-        labels: list[str] = []
+        converters = typed_converters(self.schema, _coerce)
+        getters = [itemgetter(name) for name in self.schema.names]
+        pending: list[dict] = []  # objects not yet moved into columns
+        columns: list[list] = [[] for _ in getters]  # schema-ordered raw cells
+        line_nos: list[int] = []  # blank lines make these non-contiguous
+
+        def label(i: int) -> str:  # built only on the error path
+            return f"line {line_nos[i]}"
+
+        def transpose() -> list:
+            for column, getter in zip(columns, getters):
+                column.extend(map(getter, pending))
+            pending.clear()
+            return columns
 
         def flush() -> ColumnBatch:
-            cols = columns_from_rows(buffered, labels, names, converters, positions)
-            batch = ColumnBatch(self.schema, dict(zip(names, cols)), len(buffered))
-            buffered.clear()
-            labels.clear()
+            nonlocal columns
+            raw, columns = transpose(), [[] for _ in getters]
+            batch = ColumnBatch.from_raw(self.schema, converters, raw, label)
+            line_nos.clear()
             return batch
 
         for line_no, line in enumerate(self._handle, start=1):
@@ -118,51 +127,29 @@ class JsonlTableSource(TableSource):
             except ValueError:
                 # a cell error in an earlier buffered row wins (the row
                 # path converts strictly in line order)
-                raise_row_errors(buffered, labels, converters, names, positions)
+                if line_nos:
+                    converters.raise_row_errors(transpose(), label)
                 raise
-            buffered.append(obj)
-            labels.append(f"line {line_no}")
-            if len(buffered) >= batch_size:
+            pending.append(obj)
+            line_nos.append(line_no)
+            if len(pending) >= TRANSPOSE_ROWS:
+                transpose()
+            if len(line_nos) >= batch_size:
                 yield flush()
-        if buffered:
+        if line_nos:
             yield flush()
 
     def _iter_rows(self) -> Iterator[list[Value]]:
         names = self.schema.names
-        kinds = [a.kind for a in self.schema.attributes]
-        integers = [getattr(a.domain, "integer", False) for a in self.schema.attributes]
-        expected = set(names)
+        converters = typed_converters(self.schema, _coerce)
         for line_no, line in enumerate(self._handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                # NaN/Infinity constants parse to floats here on purpose:
-                # the cell coercion below rejects non-finite values with
-                # the line *and* attribute named, which a parse_constant
-                # hook could not know
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {line_no}: not valid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(
-                    f"line {line_no}: expected one JSON object per line, "
-                    f"got {type(obj).__name__}"
-                )
-            if set(obj) != expected:
-                missing = sorted(expected - set(obj))
-                extra = sorted(set(obj) - expected)
-                raise ValueError(
-                    f"line {line_no}: keys do not match the schema "
-                    f"(missing {missing!r}, unexpected {extra!r})"
-                )
-            cells = []
-            for name, kind, integer in zip(names, kinds, integers):
-                try:
-                    cells.append(_coerce(obj[name], kind, integer))
-                except ValueError as exc:
-                    raise cell_context(f"line {line_no}", name, exc) from None
-            yield cells
+            obj = self._structural_check(line_no, line)
+            yield converters.convert_row(
+                f"line {line_no}", [obj[name] for name in names]
+            )
 
     def close(self) -> None:
         if self._owns_handle and not self._handle.closed:

@@ -39,8 +39,13 @@ from typing import Iterator, Optional, Union
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.io.base import DEFAULT_CHUNK_SIZE, TableSink, TableSource
-from repro.io.cells import coerce_number, convert_row, parse_number
-from repro.io.columnar import ColumnBatch, columns_from_rows
+from repro.io.cells import (
+    ColumnConverters,
+    coerce_number,
+    parse_number,
+    typed_converters,
+)
+from repro.io.columnar import ColumnBatch
 from repro.schema.attribute import Attribute
 from repro.schema.schema import Schema
 from repro.schema.types import AttributeKind, Value
@@ -50,6 +55,7 @@ __all__ = [
     "SqliteTableSource",
     "SqliteTableSink",
     "parse_sqlite_url",
+    "sqlite_converters",
     "DEFAULT_TABLE",
 ]
 
@@ -133,6 +139,12 @@ def _from_sql(raw: object, kind: AttributeKind, integer: bool) -> Value:
     raise ValueError(f"expected a number for a numeric cell, got {raw!r}")
 
 
+def sqlite_converters(schema: Schema) -> ColumnConverters:
+    """The converters of stored SQLite cells (also used by the tail
+    reader and the SQL pushdown engine's candidate re-check)."""
+    return typed_converters(schema, _from_sql)
+
+
 class SqliteTableSource(TableSource):
     """Chunked ``fetchmany`` reader over one SQLite table.
 
@@ -141,10 +153,10 @@ class SqliteTableSource(TableSource):
     bit-identity bridge between ``--input warehouse.db`` and
     ``--input export.csv``.
 
-    Natively columnar: :meth:`column_batches` converts each ``fetchmany``
-    batch column-at-a-time straight off the driver's row tuples (which
-    are already schema-ordered by the SELECT), skipping the per-row
-    converted lists of the row path.
+    Natively columnar: :meth:`column_batches` transposes each
+    ``fetchmany`` batch of ``sqlite3`` row tuples (already
+    schema-ordered by the SELECT) and converts it with one converter per
+    column, skipping the per-row converted lists of the row path.
     """
 
     supports_columns = True
@@ -189,14 +201,6 @@ class SqliteTableSource(TableSource):
         self._fetch_size = max(chunk_size, 1)  # align fetchmany with the chunking
         return super().chunks(chunk_size, validate=validate)
 
-    def _converters(self) -> list:
-        return [
-            lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                _from_sql(raw, kind, integer)
-            )
-            for a in self.schema.attributes
-        ]
-
     def _execute_select(self) -> sqlite3.Cursor:
         select = "SELECT {} FROM {}".format(
             ", ".join(_quote(name) for name in self.schema.names),
@@ -208,8 +212,7 @@ class SqliteTableSource(TableSource):
             return self._connection.execute(select)
 
     def _iter_rows(self) -> Iterator[list[Value]]:
-        names = self.schema.names
-        converters = self._converters()
+        converters = sqlite_converters(self.schema)
         cursor = self._execute_select()
         row_no = 0
         while True:
@@ -218,22 +221,31 @@ class SqliteTableSource(TableSource):
                 return
             for raw_row in batch:
                 row_no += 1
-                yield convert_row(f"row {row_no}", raw_row, converters, names)
+                yield converters.convert_row(f"row {row_no}", raw_row)
 
     def _iter_column_batches(self, batch_size: int):
         self._fetch_size = max(batch_size, 1)  # align fetchmany with batches
-        names = self.schema.names
-        converters = self._converters()
+        converters = sqlite_converters(self.schema)
         cursor = self._execute_select()
-        row_no = 0
-        while True:
-            batch = cursor.fetchmany(self._fetch_size)
-            if not batch:
-                return
-            labels = [f"row {row_no + i}" for i in range(1, len(batch) + 1)]
-            row_no += len(batch)
-            cols = columns_from_rows(batch, labels, names, converters)
-            yield ColumnBatch(self.schema, dict(zip(names, cols)), len(batch))
+        row_no = 0  # rows yielded by earlier batches
+
+        def label(i: int) -> str:  # built only on the error path
+            return f"row {row_no + i + 1}"
+
+        def fetch() -> Optional[ColumnBatch]:
+            nonlocal row_no
+            rows = cursor.fetchmany(self._fetch_size)
+            if not rows:
+                return None
+            # the SELECT already yields schema-ordered tuples
+            batch = ColumnBatch.from_raw(
+                self.schema, converters, list(zip(*rows)), label
+            )
+            row_no += len(rows)
+            return batch
+
+        # no local keeps a yielded batch alive while the next is fetched
+        yield from iter(fetch, None)
 
     def close(self) -> None:
         self._connection.close()

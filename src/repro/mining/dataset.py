@@ -20,8 +20,8 @@ The classifiers of sec. 5 all consume the same view of a table:
 
 Two encoding paths produce these views. The **column path** (default)
 converts whole columns at once — bulk NumPy casts for numeric columns,
-dict-lookup comprehensions for nominal codes — and is what the fit hot
-path and the audit path run on. The **row path**
+one C-level ``map`` of a dict lookup per nominal column — and is what
+the fit hot path and the audit path run on. The **row path**
 (:meth:`BaseEncoder.encode_column_rowwise` /
 :meth:`ClassEncoder.encode_column_rowwise`, selected by
 ``Dataset(..., encode_path="rows")``) walks cells one at a time through
@@ -37,6 +37,8 @@ indistinguishable from a kind-violating cell on the column path.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import is_
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -67,7 +69,23 @@ _ENCODE_PATHS = ("columns", "rows")
 
 def null_mask(values: Sequence[Value]) -> np.ndarray:
     """Boolean mask of the null cells of a raw column."""
-    return np.fromiter((v is None for v in values), dtype=bool, count=len(values))
+    return np.fromiter(
+        map(is_, values, repeat(None)), dtype=bool, count=len(values)
+    )
+
+
+def _lookup_codes(
+    codes: Mapping, null_code: int, unknown_code: int, values: Sequence[Value]
+) -> np.ndarray:
+    """``null_code`` for ``None``, ``codes.get(v, unknown_code)`` for any
+    other cell — one C-level ``map`` over the column."""
+    lookup = dict(codes)
+    lookup[None] = null_code
+    return np.fromiter(
+        map(lookup.get, values, repeat(unknown_code)),
+        dtype=np.int64,
+        count=len(values),
+    )
 
 
 def encode_ordered_column(
@@ -157,12 +175,7 @@ class BaseEncoder:
         property suite.
         """
         if self.categorical:
-            get = self._codes.get
-            unknown = self.unknown_code
-            return np.asarray(
-                [-1 if v is None else get(v, unknown) for v in values],
-                dtype=np.int64,
-            )
+            return _lookup_codes(self._codes, -1, self.unknown_code, values)
         return encode_ordered_column(self.attribute, values, null_mask(values))
 
     def encode_column_rowwise(self, values: Sequence[Value]) -> np.ndarray:
@@ -270,12 +283,8 @@ class ClassEncoder:
         """Vectorized class encoding of a whole column (bit-identical to
         the per-cell :meth:`code_of` loop, pinned by the parity suite)."""
         if self.attribute.kind is AttributeKind.NOMINAL:
-            get = self._value_codes.get
-            null_code = self.null_code
-            unknown_code = self.unknown_code
-            return np.asarray(
-                [null_code if v is None else get(v, unknown_code) for v in values],
-                dtype=np.int64,
+            return _lookup_codes(
+                self._value_codes, self.null_code, self.unknown_code, values
             )
         mask = null_mask(values)
         numeric = encode_ordered_column(self.attribute, values, mask)
@@ -284,6 +293,24 @@ class ClassEncoder:
     def encode_column_rowwise(self, values: Sequence[Value]) -> np.ndarray:
         """The legacy cell-at-a-time class encoding (row-path oracle)."""
         return np.asarray([self.code_of(v) for v in values], dtype=np.int64)
+
+    def encode_from_base(
+        self, base_codes: np.ndarray, base_encoder: "BaseEncoder"
+    ) -> np.ndarray:
+        """Class codes of a nominal column from its base category codes.
+
+        The base and class encoders enumerate the same domain values, so
+        one integer remap (null ``-1`` → null label, each domain value's
+        category → its label, the base unknown code → the unknown label)
+        equals :meth:`encode_column` on the raw cells without walking
+        them again. Shared by the fit cache and the audit cache.
+        """
+        remap = np.empty(base_encoder.n_categories + 1, dtype=np.int64)
+        remap[0] = self.null_code
+        for value, code in base_encoder._codes.items():
+            remap[code + 1] = self._value_codes[value]
+        remap[base_encoder.unknown_code + 1] = self.unknown_code
+        return remap[base_codes + 1]
 
     def encode_from_numeric(
         self, numeric: np.ndarray, mask: np.ndarray

@@ -40,10 +40,10 @@ from repro.io.jsonl_backend import JsonlTableSource
 from repro.io.registry import detect_format
 from repro.io.sqlite_backend import (
     _column_names,
-    _from_sql,
     _quote,
     _user_tables,
     parse_sqlite_url,
+    sqlite_converters,
 )
 from repro.schema.schema import Schema
 from repro.schema.types import Value
@@ -243,29 +243,14 @@ class SqliteTailReader(TailReader):
         return 0
 
     def read_new(self, offset: int) -> list[TailedRow]:
-        names = self.schema.names
-        converters = [
-            lambda raw, kind=a.kind, integer=getattr(a.domain, "integer", False): (
-                _from_sql(raw, kind, integer)
-            )
-            for a in self.schema.attributes
-        ]
+        converters = sqlite_converters(self.schema)
         select = "SELECT rowid, {} FROM {} WHERE rowid > ? ORDER BY rowid".format(
-            ", ".join(_quote(name) for name in names), _quote(self.table)
+            ", ".join(_quote(name) for name in self.schema.names), _quote(self.table)
         )
-        tailed: list[TailedRow] = []
-        for raw in self._connection.execute(select, (offset,)):
-            rowid, raw_cells = raw[0], raw[1:]
-            cells = []
-            for name, converter, value in zip(names, converters, raw_cells):
-                try:
-                    cells.append(converter(value))
-                except ValueError as exc:
-                    raise ValueError(
-                        f"rowid {rowid}, attribute {name!r}: {exc}"
-                    ) from None
-            tailed.append((cells, rowid))
-        return tailed
+        return [
+            (converters.convert_row(f"rowid {raw[0]}", raw[1:]), raw[0])
+            for raw in self._connection.execute(select, (offset,))
+        ]
 
     def close(self) -> None:
         self._connection.close()

@@ -1,8 +1,10 @@
 """Hypothesis strategies shared by the property-based tests.
 
-Everything is generated against the *tiny* logic schema (two nominal, two
-small integer attributes) so that satisfiability and implication verdicts
-can be cross-checked by brute-force enumeration of all possible records.
+The logic strategies generate against the *tiny* logic schema (two
+nominal, two small integer attributes) so that satisfiability and
+implication verdicts can be cross-checked by brute-force enumeration of
+all possible records. The cell strategies at the end generate stored
+cell contents that stress the ingest converters.
 """
 
 from __future__ import annotations
@@ -132,3 +134,57 @@ def formulas(max_depth: int = 3) -> st.SearchStrategy[Formula]:
 def rules() -> st.SearchStrategy[Rule]:
     """Random (not necessarily natural) TDG-rules."""
     return st.builds(Rule, formulas(), formulas())
+
+
+# -- stored cells --------------------------------------------------------------
+
+#: Null markers the cell strategies are built around.
+NULL_MARKERS = ("", "NULL")
+
+#: Cell text at the edges of what ``int``/``float``/``date.fromisoformat``
+#: accept: whitespace, signs, digit separators, non-ASCII digits,
+#: non-finite and exponent spellings, compact and impossible dates, and
+#: near-misses of the null markers.
+ADVERSARIAL_CELL_TEXT = (
+    "", " ", "NULL", "null", "Null", " NULL", "NULL ", "\tNULL", "N/A", "-",
+    "7", " 7", "7 ", "\t7", "+7", "-7", "07", "1_000", "1__000", "_1", "1_",
+    "\u0663", "\u0661\u0662", "\u0663.\u0665", "\uff17",
+    "nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity", "1e3", "1E3",
+    "1e400", "-1e-3", "1.0", "1.", ".5", "-0.0", "0x10", "7.25",
+    "99999999999999999999999", "-99999999999999999999999.5",
+    "2001-02-17", "20010217", "2001-02-30", "0000-01-01", "9999-12-31",
+    "2001-W07-6", "2001-048", " 2001-02-17", "2001-02-17T00:00", "2001-2-7",
+    "x", "y", "zzz", "a,b", 'q"uote', "two\nlines",
+)
+
+
+def cell_texts() -> st.SearchStrategy[str]:
+    """Stored text cells (CSV): the adversarial spellings above, plus
+    short arbitrary text."""
+    return st.one_of(
+        st.sampled_from(ADVERSARIAL_CELL_TEXT),
+        st.text(
+            st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"),
+            max_size=6,
+        ),
+    )
+
+
+#: Natively typed cells next to the text spellings: ints beyond 2**53,
+#: integral and fractional floats, signed zero, non-finite floats,
+#: booleans, null.
+TYPED_CELL_SAMPLES = (
+    None, 0, 7, -7, 2**53 + 1, 2**70, 1e3, 7.0, 7.25, -0.0,
+    float("nan"), float("inf"), True, False,
+)
+
+
+def typed_cells() -> st.SearchStrategy[object]:
+    """Natively typed stored cells (JSONL objects, SQLite values): text,
+    ints of any size, floats including non-finite ones, booleans, null."""
+    return st.one_of(
+        st.sampled_from(TYPED_CELL_SAMPLES),
+        cell_texts(),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )

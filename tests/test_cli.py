@@ -1068,12 +1068,18 @@ class TestMonitorCli:
 
     def test_follow_mode_sigterm_exits_0(self, stand):
         """The deployment shape: a producer appends while `repro monitor
-        --follow` tails; SIGTERM must exit 0 with drift logged on stderr
-        and no traceback."""
+        --follow` tails; once every appended row is committed, SIGTERM
+        must exit 0 with drift logged on stderr and no traceback.
+
+        Both pipes are drained on threads while the monitor runs: an
+        unread stdout pipe fills after ~60 KB of findings and blocks the
+        monitor mid-emit, before the last window's watermark lands.
+        """
         import os
         import signal
         import subprocess
         import sys
+        import threading
         import time
 
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -1101,20 +1107,34 @@ class TestMonitorCli:
             stderr=subprocess.PIPE,
             text=True,
         )
+        captured = {"out": [], "err": []}
+        drains = [
+            threading.Thread(target=lambda k=key, p=pipe: captured[k].append(p.read()))
+            for key, pipe in (("out", proc.stdout), ("err", proc.stderr))
+        ]
+        for drain in drains:
+            drain.start()
         try:
             with open(grow, "a") as handle:  # the producer: polluted tail
                 handle.write("".join(lines[1024:]))
             deadline = time.monotonic() + 30
             state = stand["dir"] / "follow.jsonl.findings.jsonl.state"
-            while time.monotonic() < deadline:
+            committed = False
+            while time.monotonic() < deadline and proc.poll() is None:
                 if state.exists() and b'"rows": 2048' in state.read_bytes():
+                    committed = True
                     break
-                time.sleep(0.2)
+                time.sleep(0.05)
+            assert committed, "the watermark never reached 2048 rows"
             proc.send_signal(signal.SIGTERM)
-            out, err = proc.communicate(timeout=15)
+            proc.wait(timeout=15)
+            for drain in drains:
+                drain.join(timeout=15)
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait()
+        out, err = "".join(captured["out"]), "".join(captured["err"])
         assert proc.returncode == 0, err
         assert "Traceback" not in err
         assert "drift detected" in err  # the step change was flagged

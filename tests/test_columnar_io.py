@@ -288,6 +288,75 @@ class TestErrorParity:
         assert col_msg == row_msg
         assert "expected 4 fields" in row_msg
 
+    # a quoted cell spanning physical lines 2-3 puts the next record on
+    # line 4; errors must count physical lines, not records
+    _MULTILINE = 'A,N,F,D\n"x\nz",1,0.5,2000-03-01\n'
+
+    def test_csv_cell_error_after_multiline_field_rows(self, tmp_path, schema):
+        location = tmp_path / "bad.csv"
+        location.write_text(
+            self._MULTILINE + "y,45x61,0.5,2000-03-01\n", encoding="utf-8"
+        )
+        with open_source(schema, str(location)) as source:
+            with pytest.raises(ValueError) as err:
+                source.read()
+        assert str(err.value).startswith("line 4, attribute 'N': ")
+
+    def test_csv_cell_error_after_multiline_field_columns(self, tmp_path, schema):
+        location = tmp_path / "bad.csv"
+        location.write_text(
+            self._MULTILINE + "y,1,0.5,2000-03-01\ny,45x61,0.5,2000-03-01\n",
+            encoding="utf-8",
+        )
+        for chunk_size in (1, 2, 1000):  # the bad row opens, ends, or sits mid-batch
+            with open_source(schema, str(location)) as source:
+                with pytest.raises(ValueError) as err:
+                    for _ in source.column_batches(chunk_size):
+                        pass
+            assert str(err.value).startswith("line 5, attribute 'N': ")
+        row_msg, col_msg = _read_errors(schema, str(location))
+        assert col_msg == row_msg
+
+    def test_csv_structural_error_after_multiline_field(self, tmp_path, schema):
+        location = tmp_path / "bad.csv"
+        location.write_text(self._MULTILINE + "y,1\n", encoding="utf-8")
+        row_msg, col_msg = _read_errors(schema, str(location))
+        assert col_msg == row_msg == "line 4: expected 4 fields, got 2"
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("bad_row", [None, 100, 600, 1150])
+    @pytest.mark.parametrize("chunk_size", [700, 8192])
+    def test_errors_across_transpose_steps(
+        self, tmp_path, schema, fmt, bad_row, chunk_size
+    ):
+        """Text lanes move records into raw columns every few hundred
+        rows; a bad cell before, after or inside the pending block, then
+        a structural failure (or none), raises the row path's error."""
+        n_rows = 1200
+        if fmt == "csv":
+            lines = ["A,N,F,D"] + ["x,1,0.5,2000-03-01"] * n_rows
+            bad, broken = "y,oops,0.5,2000-03-01", "y,1"
+        else:
+            good = '{"A":"x","N":1,"F":0.5,"D":"2000-03-01"}'
+            lines = [good] * n_rows
+            bad, broken = good.replace('"N":1', '"N":"oops"'), "not json"
+        offset = 1 if fmt == "csv" else 0  # the CSV header line
+        if bad_row is not None:
+            lines[offset + bad_row] = bad
+        lines[offset + 1190] = broken
+        location = tmp_path / f"bad.{fmt}"
+        location.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open_source(schema, str(location)) as source:
+            with pytest.raises(ValueError) as row_err:
+                source.read()
+        with open_source(schema, str(location)) as source:
+            with pytest.raises(ValueError) as col_err:
+                for _ in source.column_batches(chunk_size):
+                    pass
+        assert str(col_err.value) == str(row_err.value)
+        line = offset + 1 + (1190 if bad_row is None else bad_row)
+        assert str(row_err.value).startswith(f"line {line}")
+
     def test_jsonl_mistyped_cell(self, tmp_path, schema):
         location = tmp_path / "bad.jsonl"
         location.write_text(

@@ -152,6 +152,21 @@ class TestClassEncoder:
         proposal = encoder.proposal_for(label)
         assert isinstance(proposal, datetime.date)
 
+    @pytest.mark.parametrize(
+        "values", [["a", "b", "c"], ["a", NULL_LABEL, UNKNOWN_LABEL]]
+    )
+    def test_codes_from_base_match_encode_column(self, values):
+        # label-text collisions included: the remap must follow the
+        # class encoder's own codes, not assume they equal the base codes
+        attribute = nominal("C", values)
+        cells = values + [None, "zzz", values[1], None]
+        base = BaseEncoder(attribute)
+        encoder = ClassEncoder(attribute, cells)
+        expected = encoder.encode_column_rowwise(cells)
+        assert encoder.encode_column(cells).tolist() == expected.tolist()
+        remapped = encoder.encode_from_base(base.encode_column(cells), base)
+        assert remapped.tolist() == expected.tolist()
+
     def test_state_roundtrip(self, schema):
         encoder = ClassEncoder(schema.attribute("N"), list(range(50)), n_bins=5)
         clone = ClassEncoder.from_state(schema.attribute("N"), encoder.to_state())

@@ -272,6 +272,17 @@ class TestTextTail:
         rows = reader.read_new(reader.start_offset())
         assert [cells for cells, _ in rows] == [["two\nlines", 1], ["plain", 2]]
 
+    def test_csv_error_line_counts_quoted_newlines(self, tmp_path):
+        """Lines in a tail error count physical lines from the tailed
+        offset (the header is line 1), quoted newlines included."""
+        schema = Schema([text("T", nullable=False), numeric("N", 0, 9, integer=True)])
+        path = tmp_path / "t.csv"
+        path.write_text('T,N\n"two\nlines",1\nplain,x\n')
+        reader = open_tail(schema, path)
+        with pytest.raises(ValueError) as err:
+            reader.read_new(reader.start_offset())
+        assert f"from byte {len('T,N')+1}: line 4, attribute 'N': " in str(err.value)
+
     def test_jsonl_blank_lines_fold_into_next_offset(self, tail_schema, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"A": "a", "N": 1}\n\n{"A": "b", "N": 2}\n')
